@@ -8,21 +8,23 @@ values (anything with a ``merge`` method, e.g.
 :class:`StreamingMoments`): buckets of mergeable summaries reduce by
 merging instead of averaging.
 
-The two mergeable streaming primitives — :class:`StreamingMoments`
+The mergeable metrics container lives here too, in the sim domain:
+:class:`Aggregate` bundles integer counts, :class:`StreamingMoments`
 (Welford/Chan-Golub-LeVeque moments) and :class:`FixedBinHistogram`
-(fixed-bin counts with exact elementwise merging) — live here, in the
-sim domain, so both the fleet aggregation layer
-(:mod:`repro.fleet.aggregate`, which re-exports them) and the
-observability metrics registry (:mod:`repro.obs.registry`) share one
-canonical implementation and shard registries stay byte-identically
-merge-compatible.
+(fixed-bin counts with exact elementwise merging) under dotted names.
+It is the one type that records and merges metrics at every tier: a
+fleet shard's result (:mod:`repro.fleet.aggregate` re-exports it), a
+city cell's contribution, and — through the
+:class:`~repro.obs.registry.MetricsRegistry` subclass, which only
+changes the serialized layout — one observed run's ``metrics.json``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def mean(data: Iterable[float]) -> float:
@@ -123,8 +125,7 @@ def timeseries_bins(
 
 
 # ----------------------------------------------------------------------
-# Mergeable streaming primitives (shared by fleet shards and the obs
-# metrics registry)
+# Mergeable streaming primitives and the Aggregate that bundles them
 # ----------------------------------------------------------------------
 class StreamingMoments:
     """Welford-style streaming count/mean/M2 with min/max, mergeable."""
@@ -319,6 +320,108 @@ class FixedBinHistogram:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Histogram [{self.lo},{self.hi}) n={self.total} "
                 f"p50={self.p50:.4g} p95={self.p95:.4g}>")
+
+
+class Aggregate:
+    """A named bundle of counters, moments and histograms.
+
+    The one mergeable metrics container.  A fleet shard returns one, a
+    city cell contributes one, and an observed run records into one
+    (:class:`~repro.obs.registry.MetricsRegistry`).  Merging is keywise
+    union; missing keys merge as identity, so shards whose scenario
+    skipped a metric (e.g. zero slow stations) still combine.
+
+    Recording conventions: a counter is ``count(name, n)``; a sampled
+    value (gauge) is ``moment(name).add(v)``; a distribution is
+    ``histogram(name, ...).add(v)`` plus ``moment(name).add(v)`` under
+    the same name, the moment created even when nothing is observed.
+    """
+
+    __slots__ = ("counts", "moments", "histograms")
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+        self.moments: Dict[str, StreamingMoments] = {}
+        self.histograms: Dict[str, FixedBinHistogram] = {}
+
+    # -- accessors (get-or-create) -------------------------------------
+    def count(self, name: str, n: int = 1) -> int:
+        if n < 0:
+            raise ValueError("counters only go up")
+        self.counts[name] = self.counts.get(name, 0) + n
+        return self.counts[name]
+
+    def moment(self, name: str) -> StreamingMoments:
+        m = self.moments.get(name)
+        if m is None:
+            m = self.moments[name] = StreamingMoments()
+        return m
+
+    def histogram(self, name: str, lo: float = 0.0, hi: float = 1.0,
+                  n_bins: int = 100) -> FixedBinHistogram:
+        h = self.histograms.get(name)
+        if h is None:
+            h = self.histograms[name] = FixedBinHistogram(lo, hi, n_bins)
+        return h
+
+    # -- merge ---------------------------------------------------------
+    def merge(self, other: "Aggregate") -> "Aggregate":
+        """Fold ``other`` in: counts and histogram bins add (exact),
+        moments use the Chan-Golub-LeVeque merge (order-independent up
+        to float rounding)."""
+        for name, n in other.counts.items():
+            self.counts[name] = self.counts.get(name, 0) + n
+        for name, m in other.moments.items():
+            self.moment(name).merge(m)
+        for name, h in other.histograms.items():
+            mine = self.histograms.get(name)
+            if mine is None:
+                self.histograms[name] = FixedBinHistogram.from_dict(h.to_dict())
+            else:
+                mine.merge(h)
+        return self
+
+    @classmethod
+    def merged(cls, parts: Iterable[Optional["Aggregate"]]) -> "Aggregate":
+        """Merge an iterable of (possibly ``None``) parts in order."""
+        out = cls()
+        for part in parts:
+            if part is not None:
+                out.merge(part)
+        return out
+
+    # -- serialization -------------------------------------------------
+    def to_dict(self) -> dict:
+        return {
+            "counts": dict(sorted(self.counts.items())),
+            "moments": {k: m.to_dict() for k, m in sorted(self.moments.items())},
+            "histograms": {k: h.to_dict() for k, h in sorted(self.histograms.items())},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Aggregate":
+        a = cls()
+        a.counts = {k: int(v) for k, v in d.get("counts", {}).items()}
+        a.moments = {k: StreamingMoments.from_dict(v)
+                     for k, v in d.get("moments", {}).items()}
+        a.histograms = {k: FixedBinHistogram.from_dict(v)
+                        for k, v in d.get("histograms", {}).items()}
+        return a
+
+    def to_json(self) -> str:
+        """Canonical JSON: sorted keys, no whitespace — byte-stable."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "Aggregate":
+        return cls.from_dict(json.loads(text))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Aggregate) and self.to_dict() == other.to_dict()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<{type(self).__name__} counts={len(self.counts)} "
+                f"moments={len(self.moments)} hists={len(self.histograms)}>")
 
 
 def jain_index(allocations: Iterable[float]) -> float:

@@ -2,25 +2,16 @@
 
 A fleet worker must return an **O(1)-sized summary** of its shard, not
 raw traces: a 10,000-seed campaign with per-message latency lists would
-move gigabytes through the result queue.  Three mergeable primitives
-cover everything the fleet reports need:
-
-- :class:`StreamingMoments` — count / mean / M2 (Welford) plus min and
-  max.  Merging uses the parallel-variance formula of Chan, Golub &
-  LeVeque, so ``merge(agg(A), agg(B))`` equals ``agg(A + B)`` up to
-  floating-point rounding (exactly, for count/min/max).
-- :class:`FixedBinHistogram` — fixed-bin counts with underflow and
-  overflow buckets; merging is elementwise integer addition (exact),
-  and p50/p95/p99 are read off the cumulative counts with linear
-  interpolation inside a bin.
-- :class:`Aggregate` — a named bundle of integer counters, moments and
-  histograms; merging is keywise union.
-
-The two streaming primitives are canonically defined in
-:mod:`repro.analysis.stats` (sim domain) and re-exported here, so the
-per-``Simulator`` observability registry (:mod:`repro.obs.registry`)
-and fleet shards share one implementation and their serialized forms
-stay byte-identically merge-compatible.
+move gigabytes through the result queue.  The summary is an
+:class:`Aggregate` — named integer counts, :class:`StreamingMoments`
+(Welford count/mean/M2 plus min/max, merged with the Chan, Golub &
+LeVeque parallel formula) and :class:`FixedBinHistogram` (fixed bins
+merged by exact integer addition, p50/p95/p99 read off the cumulative
+counts).  All three are defined in :mod:`repro.analysis.stats` (sim
+domain) and re-exported here; the observability layer's
+:class:`~repro.obs.registry.MetricsRegistry` is the same container with
+its own serialized layout, so :func:`aggregate_from_registry` is a
+prefixing copy, not a translation.
 
 Determinism contract: serial and parallel campaign runs both compute
 one :class:`Aggregate` per shard and merge them **in shard-index
@@ -33,101 +24,10 @@ cache format stable.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.stats import FixedBinHistogram, StreamingMoments
-
-
-class Aggregate:
-    """A named bundle of counters, moments and histograms.
-
-    This is the unit a shard returns and the unit the runner merges —
-    scenario runners fill one per shard, the campaign runner folds them
-    together keywise.  Missing keys merge as identity, so shards whose
-    scenario skipped a metric (e.g. zero slow stations) still combine.
-    """
-
-    __slots__ = ("counts", "moments", "histograms")
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-        self.moments: Dict[str, StreamingMoments] = {}
-        self.histograms: Dict[str, FixedBinHistogram] = {}
-
-    # -- accessors (get-or-create) -------------------------------------
-    def count(self, name: str, n: int = 1) -> int:
-        self.counts[name] = self.counts.get(name, 0) + n
-        return self.counts[name]
-
-    def moment(self, name: str) -> StreamingMoments:
-        m = self.moments.get(name)
-        if m is None:
-            m = self.moments[name] = StreamingMoments()
-        return m
-
-    def histogram(self, name: str, lo: float = 0.0, hi: float = 1.0,
-                  n_bins: int = 100) -> FixedBinHistogram:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = FixedBinHistogram(lo, hi, n_bins)
-        return h
-
-    # -- merge ---------------------------------------------------------
-    def merge(self, other: "Aggregate") -> "Aggregate":
-        for name, n in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + n
-        for name, m in other.moments.items():
-            self.moment(name).merge(m)
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = FixedBinHistogram.from_dict(h.to_dict())
-            else:
-                mine.merge(h)
-        return self
-
-    @classmethod
-    def merged(cls, parts: Iterable["Aggregate"]) -> "Aggregate":
-        out = cls()
-        for part in parts:
-            if part is not None:
-                out.merge(part)
-        return out
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "counts": dict(sorted(self.counts.items())),
-            "moments": {k: m.to_dict() for k, m in sorted(self.moments.items())},
-            "histograms": {k: h.to_dict() for k, h in sorted(self.histograms.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Aggregate":
-        a = cls()
-        a.counts = {k: int(v) for k, v in d.get("counts", {}).items()}
-        a.moments = {k: StreamingMoments.from_dict(v)
-                     for k, v in d.get("moments", {}).items()}
-        a.histograms = {k: FixedBinHistogram.from_dict(v)
-                        for k, v in d.get("histograms", {}).items()}
-        return a
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Aggregate":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Aggregate) and self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Aggregate counts={len(self.counts)} "
-                f"moments={len(self.moments)} hists={len(self.histograms)}>")
+from repro.analysis.stats import Aggregate, FixedBinHistogram, StreamingMoments
 
 
 def approx_equal_moments(a: StreamingMoments, b: StreamingMoments,
@@ -217,38 +117,20 @@ class OrderedReducer:
         return self.aggregate
 
 
-def merge_all(parts: Iterable[Optional[Aggregate]]) -> Aggregate:
-    """Merge an iterable of (possibly None) aggregates in order."""
-    out = Aggregate()
-    for part in parts:
-        if part is not None:
-            out.merge(part)
-    return out
-
-
-def aggregate_from_registry(registry, prefix: str = "obs") -> Aggregate:
-    """Lift a :class:`repro.obs.registry.MetricsRegistry` into an Aggregate.
-
-    Counters map to counts, gauge moments and histogram moments to
-    moments, histogram bins to histograms — all under ``<prefix>.`` so
+def aggregate_from_registry(registry: Aggregate,
+                            prefix: str = "obs") -> Aggregate:
+    """Copy a :class:`repro.obs.registry.MetricsRegistry` (or any
+    :class:`Aggregate`) into a plain Aggregate under ``<prefix>.``, so
     registry-derived metrics never collide with a scenario's own keys.
-    Because the underlying primitives are shared
-    (:mod:`repro.analysis.stats`), per-shard registries folded through
-    this mapping merge byte-identically in the campaign runner.
-
-    The import direction is deliberate: fleet (harness) depends on obs
-    (sim), never the reverse.
     """
     agg = Aggregate()
-    for name, counter in sorted(registry.counters.items()):
-        agg.count(f"{prefix}.{name}", counter.value)
-    for name, gauge in sorted(registry.gauges.items()):
-        agg.moment(f"{prefix}.{name}").merge(gauge.moments)
-    for name, hist in sorted(registry.histograms.items()):
-        agg.moment(f"{prefix}.{name}").merge(hist.moments)
-        bins = hist.bins
-        agg.histogram(f"{prefix}.{name}", bins.lo, bins.hi,
-                      len(bins.bins)).merge(bins)
+    for name, n in registry.counts.items():
+        agg.counts[f"{prefix}.{name}"] = n
+    for name, m in registry.moments.items():
+        agg.moments[f"{prefix}.{name}"] = StreamingMoments().merge(m)
+    for name, h in registry.histograms.items():
+        agg.histograms[f"{prefix}.{name}"] = FixedBinHistogram.from_dict(
+            h.to_dict())
     return agg
 
 
@@ -259,5 +141,4 @@ __all__: List[str] = [
     "OrderedReducer",
     "aggregate_from_registry",
     "approx_equal_moments",
-    "merge_all",
 ]

@@ -60,7 +60,7 @@ def collect_offload_aggregate(scenario, session, report) -> Aggregate:
     """Distil a finished cell_offload session into its shard aggregate."""
     from repro.core import mos_score
     from repro.fleet.aggregate import aggregate_from_registry
-    from repro.obs import MetricsRegistry, collect_links, collect_martp
+    from repro.obs import collect_links, collect_martp
 
     agg = Aggregate()
     agg.count("sessions")
@@ -77,10 +77,10 @@ def collect_offload_aggregate(scenario, session, report) -> Aggregate:
         latency.extend(session.receiver.stream_stats(sid).latencies)
     agg.count("critical_intact", int(report.critical_intact))
 
-    registry = MetricsRegistry()
-    collect_martp(registry, session.sender, session.receiver)
-    collect_links(registry, scenario.net, elapsed=scenario.net.sim.now)
-    agg.merge(aggregate_from_registry(registry))
+    metrics = Aggregate()
+    collect_martp(metrics, session.sender, session.receiver)
+    collect_links(metrics, scenario.net, elapsed=scenario.net.sim.now)
+    agg.merge(aggregate_from_registry(metrics))
     return agg
 
 

@@ -9,10 +9,10 @@ deterministic artifact instead of five ad-hoc mechanisms:
   nested :class:`Span` objects and the :class:`FrameTrace` convention
   (one trace id per AR frame, threaded client → network → server →
   back), queryable as ``trace.breakdown()``.
-- :mod:`repro.obs.registry` — typed Counter/Gauge/Histogram instruments
-  in a per-``Simulator`` :class:`MetricsRegistry` whose histograms and
-  gauges reuse the mergeable :mod:`repro.analysis.stats` primitives, so
-  fleet shards can merge registries byte-identically.
+- :mod:`repro.obs.registry` — the per-``Simulator``
+  :class:`MetricsRegistry`: the mergeable
+  :class:`~repro.analysis.stats.Aggregate` container (counts, moments,
+  histograms) with the ``metrics.json`` serialized layout.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``), qlog-style JSON lines unified with
   :mod:`repro.core.qlog` categories, and plain-dict snapshots for
@@ -44,17 +44,14 @@ from repro.obs.instrument import (
     path_costs,
 )
 from repro.obs.profile import EngineProfiler, handler_name
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.runner import OBS_SCENARIOS, ObsRun, run_obs_scenario
 from repro.obs.spans import FrameTrace, Span, Tracer
 
 __all__ = [
-    "Counter",
     "EngineProfiler",
     "FrameObserver",
     "FrameTrace",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "OBS_SCENARIOS",
     "ObsRun",

@@ -203,17 +203,16 @@ def snapshot(registry: Optional[MetricsRegistry] = None,
     """A report-friendly dict: headline stats, no raw bins or spans."""
     out: Dict[str, Any] = {}
     if registry is not None:
-        out["counters"] = {k: c.value
-                           for k, c in sorted(registry.counters.items())}
-        out["gauges"] = {
-            k: {"last": g.value, "mean": g.moments.mean,
-                "count": g.moments.count}
-            for k, g in sorted(registry.gauges.items())
-        }
+        hists = registry.histograms
+        out["counters"] = dict(sorted(registry.counts.items()))
+        out["gauges"] = {k: {"mean": m.mean, "count": m.count}
+                         for k, m in sorted(registry.moments.items())
+                         if k not in hists}
         out["histograms"] = {
-            k: {"count": h.count, "mean": h.mean, "p50": h.bins.p50,
-                "p95": h.bins.p95, "p99": h.bins.p99}
-            for k, h in sorted(registry.histograms.items())
+            k: {"count": registry.moments[k].count,
+                "mean": registry.moments[k].mean,
+                "p50": h.p50, "p95": h.p95, "p99": h.p99}
+            for k, h in sorted(hists.items())
         }
     if tracer is not None:
         roots = tracer.frame_roots()

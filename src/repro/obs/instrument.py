@@ -9,8 +9,9 @@ Two integration styles, chosen per subsystem by cost:
   one attribute test and allocates nothing.
 - **Link / queue / MARTP counters** (cold, end-of-run): the
   ``collect_*`` helpers snapshot already-maintained counters into a
-  :class:`~repro.obs.registry.MetricsRegistry` after the run, adding
-  zero hot-path work.
+  :class:`~repro.obs.registry.MetricsRegistry` (or any
+  :class:`~repro.analysis.stats.Aggregate`) after the run, adding zero
+  hot-path work.
 
 :func:`path_costs` computes the analytic wire cost of moving a payload
 across the routed path — serialization (bits over each link's rate,
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.stats import Aggregate
 from repro.mar.offload import FRAGMENT_BYTES, OffloadExecutor
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (
     PROPAGATION_ATTR,
     SERIALIZATION_ATTR,
@@ -197,22 +198,23 @@ def attach_frame_observer(executor: OffloadExecutor, tracer: Tracer,
 # ----------------------------------------------------------------------
 # Cold-path collectors: snapshot existing counters into a registry
 # ----------------------------------------------------------------------
-def collect_links(registry: MetricsRegistry, net: Network,
+def collect_links(registry: Aggregate, net: Network,
                   elapsed: Optional[float] = None) -> None:
     """Snapshot every link's counters (``link.<name>.*``)."""
     for link in net.links:
         prefix = f"link.{link.name}"
-        registry.counter(f"{prefix}.bytes_sent").inc(link.bytes_sent)
-        registry.counter(f"{prefix}.bytes_delivered").inc(link.bytes_delivered)
-        registry.counter(f"{prefix}.bytes_lost").inc(link.bytes_lost)
-        registry.counter(f"{prefix}.packets_delivered").inc(link.packets_delivered)
-        registry.counter(f"{prefix}.packets_lost").inc(link.packets_lost)
-        registry.counter(f"{prefix}.queue_drops").inc(link.queue_drops)
+        registry.count(f"{prefix}.bytes_sent", link.bytes_sent)
+        registry.count(f"{prefix}.bytes_delivered", link.bytes_delivered)
+        registry.count(f"{prefix}.bytes_lost", link.bytes_lost)
+        registry.count(f"{prefix}.packets_delivered", link.packets_delivered)
+        registry.count(f"{prefix}.packets_lost", link.packets_lost)
+        registry.count(f"{prefix}.queue_drops", link.queue_drops)
         if elapsed is not None and elapsed > 0:
-            registry.gauge(f"{prefix}.utilization").set(link.utilization(elapsed))
+            registry.moment(f"{prefix}.utilization").add(
+                link.utilization(elapsed))
 
 
-def collect_martp(registry: MetricsRegistry, sender, receiver,
+def collect_martp(registry: Aggregate, sender, receiver,
                   prefix: str = "martp") -> None:
     """Snapshot a MARTP sender/receiver pair (``martp.*``).
 
@@ -221,22 +223,20 @@ def collect_martp(registry: MetricsRegistry, sender, receiver,
     sender's combined budget and congestion-event count — after the
     run; the protocol hot path is untouched.
     """
-    registry.gauge(f"{prefix}.budget_bps").set(sender.budget_bps)
-    registry.counter(f"{prefix}.congestion_events").inc(
-        sender.congestion_events)
+    registry.moment(f"{prefix}.budget_bps").add(sender.budget_bps)
+    registry.count(f"{prefix}.congestion_events", sender.congestion_events)
     for stream_id in sorted(sender._tx):
         tx = sender.stream_stats(stream_id)
         sprefix = f"{prefix}.stream.{tx.spec.name}"
-        registry.counter(f"{sprefix}.sent").inc(tx.sent)
-        registry.counter(f"{sprefix}.shed").inc(tx.dropped)
-        registry.counter(f"{sprefix}.bytes_sent").inc(tx.bytes_sent)
+        registry.count(f"{sprefix}.sent", tx.sent)
+        registry.count(f"{sprefix}.shed", tx.dropped)
+        registry.count(f"{sprefix}.bytes_sent", tx.bytes_sent)
     for stream_id in sorted(receiver._rx):
         rx = receiver.stream_stats(stream_id)
         sprefix = f"{prefix}.stream.{rx.spec.name}"
-        registry.counter(f"{sprefix}.received").inc(rx.received)
-        registry.counter(f"{sprefix}.in_time").inc(rx.in_time)
-        registry.counter(f"{sprefix}.recovered").inc(rx.recovered)
-        hist = registry.histogram(f"{sprefix}.latency", 0.0,
-                                  LATENCY_HI, LATENCY_BINS)
-        for latency in rx.latencies:
-            hist.observe(latency)
+        registry.count(f"{sprefix}.received", rx.received)
+        registry.count(f"{sprefix}.in_time", rx.in_time)
+        registry.count(f"{sprefix}.recovered", rx.recovered)
+        registry.histogram(f"{sprefix}.latency", 0.0, LATENCY_HI,
+                           LATENCY_BINS).extend(rx.latencies)
+        registry.moment(f"{sprefix}.latency").extend(rx.latencies)

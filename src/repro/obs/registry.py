@@ -1,223 +1,57 @@
-"""Typed metrics instruments on a per-``Simulator`` registry.
+"""The per-run metrics registry: an :class:`Aggregate` with the
+``metrics.json`` layout.
 
 No process-wide state: a :class:`MetricsRegistry` belongs to one run
 (conventionally one per ``Simulator``), so parallel fleet workers never
-share instruments and two runs of the same ``(scenario, seed)`` build
-identical registries.
+share it and two runs of the same ``(scenario, seed)`` build identical
+registries.
 
-Three instrument types, all mergeable:
+Recording and merging are :class:`~repro.analysis.stats.Aggregate`'s —
+there is one metrics container.  Only the serialized form differs, so
+``metrics.json``, the qlog ``registry-snapshot`` record and the selftest
+payload keep their layout:
 
-- :class:`Counter` — monotone integer; merges by addition (exact).
-- :class:`Gauge` — a sampled value; keeps the last write for in-run
-  inspection and a :class:`~repro.analysis.stats.StreamingMoments`
-  accumulator of every write.  Only the moments serialize — "last
-  written" is meaningless across merged shards — so merging stays
-  order-independent.
-- :class:`Histogram` — a fixed-bin
-  :class:`~repro.analysis.stats.FixedBinHistogram` (bins merge by
-  elementwise addition, exact) plus moments for mean/min/max.
+- ``counters`` — the counts;
+- ``histograms`` — ``{bins, moments}`` for every histogram, paired with
+  the moment of the same name;
+- ``gauges`` — every remaining moment.
 
 Serialization (:meth:`MetricsRegistry.to_json`) is canonical — sorted
-keys, no whitespace — the same discipline as
-:meth:`repro.fleet.aggregate.Aggregate.to_json`, and
-:func:`repro.fleet.aggregate.aggregate_from_registry` lifts a registry
-into a fleet aggregate so campaign shards fold their metrics into the
-campaign report byte-identically.
+keys, no whitespace — and
+:func:`repro.fleet.aggregate.aggregate_from_registry` copies a registry
+into a fleet aggregate under an ``obs.`` prefix.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict
-
-from repro.analysis.stats import FixedBinHistogram, StreamingMoments
+from repro.analysis.stats import Aggregate, FixedBinHistogram, StreamingMoments
 
 
-class Counter:
-    """A monotone integer counter."""
+class MetricsRegistry(Aggregate):
+    """One run's metrics; names are dotted paths by convention
+    (``link.<name>.bytes_sent``, ``queue.<name>.packets``,
+    ``frame.latency``)."""
 
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> int:
-        if n < 0:
-            raise ValueError("counters only go up")
-        self.value += n
-        return self.value
-
-    def to_dict(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A sampled value: last write in-process, moments across merges."""
-
-    __slots__ = ("name", "value", "moments")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.moments = StreamingMoments()
-
-    def set(self, value: float) -> float:
-        self.value = float(value)
-        self.moments.add(self.value)
-        return self.value
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return self.moments.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Gauge {self.name}={self.value:.6g} n={self.moments.count}>"
-
-
-class Histogram:
-    """Fixed-bin distribution plus streaming moments."""
-
-    __slots__ = ("name", "bins", "moments")
-
-    def __init__(self, name: str, lo: float, hi: float, n_bins: int = 100) -> None:
-        self.name = name
-        self.bins = FixedBinHistogram(lo, hi, n_bins)
-        self.moments = StreamingMoments()
-
-    def observe(self, value: float) -> None:
-        self.bins.add(value)
-        self.moments.add(value)
-
-    def percentile(self, q: float) -> float:
-        return self.bins.percentile(q)
-
-    @property
-    def count(self) -> int:
-        return self.moments.count
-
-    @property
-    def mean(self) -> float:
-        return self.moments.mean
-
-    def to_dict(self) -> dict:
-        return {"bins": self.bins.to_dict(), "moments": self.moments.to_dict()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Histogram {self.name} n={self.count} "
-                f"p50={self.bins.p50:.4g}>")
-
-
-class MetricsRegistry:
-    """Get-or-create home for one run's instruments.
-
-    Names are dotted paths by convention (``link.<name>.bytes_sent``,
-    ``queue.<name>.packets``, ``frame.latency``); exports sort by name,
-    so insertion order never leaks into artifacts.
-    """
-
-    __slots__ = ("counters", "gauges", "histograms")
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    # -- instruments (get-or-create) -----------------------------------
-    def counter(self, name: str) -> Counter:
-        c = self.counters.get(name)
-        if c is None:
-            c = self.counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name)
-        return g
-
-    def histogram(self, name: str, lo: float = 0.0, hi: float = 1.0,
-                  n_bins: int = 100) -> Histogram:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = Histogram(name, lo, hi, n_bins)
-        return h
-
-    # -- merge ---------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` in: counters add, gauges/histograms merge.
-
-        Counter and histogram-bin merging is exact integer addition, so
-        any merge order yields identical values; gauge/histogram moments
-        use the Chan-Golub-LeVeque float merge (order-independent up to
-        rounding — compare with
-        :func:`repro.fleet.aggregate.approx_equal_moments`).
-        """
-        for name, c in other.counters.items():
-            self.counter(name).inc(c.value)
-        for name, g in other.gauges.items():
-            mine = self.gauge(name)
-            mine.moments.merge(g.moments)
-            mine.value = g.value
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram(
-                    name, h.bins.lo, h.bins.hi, len(h.bins.bins))
-            mine.bins.merge(h.bins)
-            mine.moments.merge(h.moments)
-        return self
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
+        hists = self.histograms
         return {
-            "counters": {k: c.to_dict()
-                         for k, c in sorted(self.counters.items())},
-            "gauges": {k: g.to_dict() for k, g in sorted(self.gauges.items())},
-            "histograms": {k: h.to_dict()
-                           for k, h in sorted(self.histograms.items())},
+            "counters": dict(sorted(self.counts.items())),
+            "gauges": {k: m.to_dict() for k, m in sorted(self.moments.items())
+                       if k not in hists},
+            "histograms": {
+                k: {"bins": h.to_dict(), "moments": self.moments[k].to_dict()}
+                for k, h in sorted(hists.items())},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsRegistry":
         reg = cls()
-        for name, v in d.get("counters", {}).items():
-            reg.counter(name).inc(int(v))
-        for name, m in d.get("gauges", {}).items():
-            g = reg.gauge(name)
-            g.moments = StreamingMoments.from_dict(m)
-            g.value = g.moments.maximum if g.moments.count else 0.0
+        reg.counts = {k: int(v) for k, v in d.get("counters", {}).items()}
+        reg.moments = {k: StreamingMoments.from_dict(m)
+                       for k, m in d.get("gauges", {}).items()}
         for name, hv in d.get("histograms", {}).items():
-            bins = FixedBinHistogram.from_dict(hv["bins"])
-            h = reg.histogram(name, bins.lo, bins.hi, len(bins.bins))
-            h.bins = bins
-            h.moments = StreamingMoments.from_dict(hv["moments"])
+            reg.histograms[name] = FixedBinHistogram.from_dict(hv["bins"])
+            reg.moment(name).merge(StreamingMoments.from_dict(hv["moments"]))
         return reg
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace — byte-stable."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MetricsRegistry) \
-            and self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<MetricsRegistry counters={len(self.counters)} "
-                f"gauges={len(self.gauges)} hists={len(self.histograms)}>")
-
-
-def merge_registries(parts) -> MetricsRegistry:
-    """Merge an iterable of (possibly ``None``) registries in order."""
-    out = MetricsRegistry()
-    for part in parts:
-        if part is not None:
-            out.merge(part)
-    return out

@@ -89,14 +89,14 @@ def _run_cell_offload(seed: int, frames: int, profiler=None) -> ObsRun:
     result = executor.run(n_frames=frames)
 
     collect_links(registry, net, elapsed=sim.now)
-    registry.counter("frame.sent").inc(result.frames_sent)
-    registry.counter("frame.completed").inc(result.frames_completed)
-    latency_hist = registry.histogram("frame.latency", 0.0,
-                                      LATENCY_HI, LATENCY_BINS)
-    for latency in result.frame_latencies:
-        latency_hist.observe(latency)
-    for rtt in result.link_rtts:
-        registry.histogram("link.rtt", 0.0, 0.5, 100).observe(rtt)
+    registry.count("frame.sent", result.frames_sent)
+    registry.count("frame.completed", result.frames_completed)
+    registry.histogram("frame.latency", 0.0, LATENCY_HI,
+                       LATENCY_BINS).extend(result.frame_latencies)
+    registry.moment("frame.latency").extend(result.frame_latencies)
+    if result.link_rtts:
+        registry.histogram("link.rtt", 0.0, 0.5, 100).extend(result.link_rtts)
+        registry.moment("link.rtt").extend(result.link_rtts)
 
     summary = {
         "frames": float(result.frames_completed),

@@ -32,11 +32,11 @@ by name, per-user throughput under load comes from
 :meth:`AccessProfile.per_user_share`, and the MAR-readiness
 classification applies the §III-B thresholds to the loaded profile.
 
-Everything a cell produces is distilled into O(1)-sized mergeable
-aggregates (:class:`repro.fleet.aggregate.Aggregate` via an
-:class:`repro.obs.registry.MetricsRegistry` feed), so a million users
-across hundreds of cells lift into the existing Welford/histogram
-fleet primitives and merge order-independently.
+Everything a cell produces is distilled into one O(1)-sized mergeable
+:class:`~repro.analysis.stats.Aggregate` — the same container fleet
+shards and observed runs use — so a million users across hundreds of
+cells fold into Welford moments and fixed-bin histograms and merge
+order-independently.
 """
 
 from __future__ import annotations
@@ -234,47 +234,19 @@ class CellProcess:
         self.sim.schedule(spec.dt, self._step)
 
     # ------------------------------------------------------------------
-    # Aggregation: the obs metrics-registry feed + fleet lift
+    # Aggregation
     # ------------------------------------------------------------------
-    def registry(self):
-        """Feed this cell's fluid trajectory into a metrics registry.
-
-        Uses the observability layer's typed primitives so per-cell
-        metrics merge across shards exactly like protocol/link counters
-        do — and lift into fleet aggregates through the existing
-        ``aggregate_from_registry`` mapping under ``obs.scale.*``.
-        """
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        tl = self.timeline
-        reg.counter("scale.cells").inc()
-        reg.counter("scale.users").inc(tl.distinct_users)
-        reg.counter("scale.fluid_steps").inc(len(tl.samples))
-        users = reg.gauge("scale.active_users")
-        util = reg.histogram("scale.utilization", 0.0, UTILIZATION_HI,
-                             UTILIZATION_BINS)
-        contended = 0
-        overloaded = 0
-        for _t, n, rho in tl.samples:
-            users.set(n)
-            util.observe(rho)
-            if rho > CONTENTION_RHO:
-                contended += 1
-            if rho > 1.0:
-                overloaded += 1
-        reg.counter("scale.contended_samples").inc(contended)
-        reg.counter("scale.overloaded_samples").inc(overloaded)
-        return reg
-
     def aggregate(self):
-        """This cell's mergeable shard contribution.
+        """This cell's mergeable shard contribution, in one pass over
+        the fluid samples.
 
         Counts/histograms merge exactly; moments merge via the Chan et
         al. parallel formula — order-independent up to float rounding
         (pinned by a hypothesis property in tests/test_scale_population.py).
+        The ``obs.scale.*`` keys duplicate some ``scale.*`` figures;
+        the city campaign digest pins them.
         """
-        from repro.fleet.aggregate import Aggregate, aggregate_from_registry
+        from repro.analysis.stats import Aggregate
 
         profile = profile_by_name(self.spec.profile)
         tl = self.timeline
@@ -284,13 +256,28 @@ class CellProcess:
         rho_moment = agg.moment("scale.utilization")
         users_moment = agg.moment("scale.active_users")
         share_moment = agg.moment("scale.per_user_up_bps")
+        util_hist = agg.histogram("obs.scale.utilization", 0.0,
+                                  UTILIZATION_HI, UTILIZATION_BINS)
+        contended = 0
+        overloaded = 0
         for _t, n, rho in tl.samples:
             rho_moment.add(rho)
             users_moment.add(n)
             share_moment.add(profile.up_mean * profile.per_user_share(rho))
+            util_hist.add(rho)
+            if rho > CONTENTION_RHO:
+                contended += 1
+            if rho > 1.0:
+                overloaded += 1
         agg.moment("scale.service_fraction").add(tl.service_fraction)
         agg.moment("scale.mar_ready_fraction").add(tl.mar_ready_fraction())
-        agg.merge(aggregate_from_registry(self.registry()))
+        agg.count("obs.scale.cells")
+        agg.count("obs.scale.users", tl.distinct_users)
+        agg.count("obs.scale.fluid_steps", len(tl.samples))
+        agg.count("obs.scale.contended_samples", contended)
+        agg.count("obs.scale.overloaded_samples", overloaded)
+        agg.moment("obs.scale.utilization").merge(rho_moment)
+        agg.moment("obs.scale.active_users").merge(users_moment)
         return agg
 
 

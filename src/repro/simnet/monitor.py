@@ -14,9 +14,10 @@ Both monitors are bounded: pass ``horizon`` to stop ticking at a known
 scenario end, or call :meth:`stop` — without one of these a monitor
 would keep the event heap non-empty forever, so ``sim.run()`` with no
 ``until`` would never drain.  Samples can additionally feed a
-:class:`~repro.obs.registry.MetricsRegistry` (``registry=``), putting
-queue depth and link utilization on the same mergeable export path as
-every other metric.
+:class:`~repro.obs.registry.MetricsRegistry` or any other
+:class:`~repro.analysis.stats.Aggregate` (``registry=``), putting queue
+depth and link utilization on the same mergeable export path as every
+other metric.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ class QueueMonitor:
         self.samples: List[Tuple[float, int, int]] = []   # (t, pkts, bytes)
         self._stopped = False
         self._hist = None
-        self._gauge = None
         if registry is not None:
             self._hist = registry.histogram(f"queue.{name}.packets",
                                             0.0, 256.0, 256)
-            self._gauge = registry.gauge(f"queue.{name}.bytes")
+            self._hist_moments = registry.moment(f"queue.{name}.packets")
+            self._gauge = registry.moment(f"queue.{name}.bytes")
         sim.schedule(0.0, self._tick)
 
     def stop(self) -> None:
@@ -76,8 +77,9 @@ class QueueMonitor:
         nbytes = self.queue.backlog_bytes
         self.samples.append((self.sim.now, pkts, nbytes))
         if self._hist is not None:
-            self._hist.observe(float(pkts))
-            self._gauge.set(float(nbytes))
+            self._hist.add(float(pkts))
+            self._hist_moments.add(float(pkts))
+            self._gauge.add(float(nbytes))
         if self.horizon is not None and self.sim.now + self.interval > self.horizon:
             return
         self.sim.schedule(self.interval, self._tick)
@@ -107,7 +109,9 @@ class LinkMonitor:
 
     Accepts the same ``horizon``/``registry`` bounds as
     :class:`QueueMonitor`; registry ticks feed
-    ``link.<name>.utilization`` (histogram) and
+    ``link.<name>.tick_utilization`` (histogram of per-tick samples,
+    distinct from the whole-run ``link.<name>.utilization`` gauge that
+    :func:`repro.obs.instrument.collect_links` records) and
     ``link.<name>.throughput_bps`` (gauge).
     """
 
@@ -123,11 +127,11 @@ class LinkMonitor:
         self._last_bytes = link.bytes_sent
         self._stopped = False
         self._hist = None
-        self._gauge = None
         if registry is not None:
-            self._hist = registry.histogram(f"link.{link.name}.utilization",
-                                            0.0, 1.0, 100)
-            self._gauge = registry.gauge(f"link.{link.name}.throughput_bps")
+            key = f"link.{link.name}.tick_utilization"
+            self._hist = registry.histogram(key, 0.0, 1.0, 100)
+            self._hist_moments = registry.moment(key)
+            self._gauge = registry.moment(f"link.{link.name}.throughput_bps")
         sim.schedule(interval, self._tick)
 
     def stop(self) -> None:
@@ -143,8 +147,9 @@ class LinkMonitor:
         utilization = min(1.0, bps / self.link.rate_bps) if self.link.rate_bps else 0.0
         self.samples.append((self.sim.now, bps, utilization))
         if self._hist is not None:
-            self._hist.observe(utilization)
-            self._gauge.set(bps)
+            self._hist.add(utilization)
+            self._hist_moments.add(utilization)
+            self._gauge.add(bps)
         if self.horizon is not None and self.sim.now + self.interval > self.horizon:
             return
         self.sim.schedule(self.interval, self._tick)

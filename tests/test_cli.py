@@ -166,13 +166,6 @@ def test_lint_unknown_rule_is_usage_error(capsys):
     assert main(["lint", "--select", "NOPE", "src"]) == 2
 
 
-def test_lint_shipped_tree_is_clean():
-    import pathlib
-
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    assert main(["lint", str(src)]) == 0
-
-
 # ----------------------------------------------------------------------
 # selftest verb (determinism smoke)
 # ----------------------------------------------------------------------

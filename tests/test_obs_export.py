@@ -219,7 +219,7 @@ class TestSnapshot:
 class TestMartpScenario:
     def test_registry_covers_protocol_and_links(self):
         run = run_obs_scenario("martp_session", seed=5, frames=30)
-        names = set(run.registry.counters)
+        names = set(run.registry.counts)
         assert any(n.startswith("martp.stream.") for n in names)
         assert any(n.startswith("link.") for n in names)
         assert run.event_log is not None

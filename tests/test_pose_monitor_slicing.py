@@ -171,13 +171,14 @@ class TestMonitors:
         LinkMonitor(sim, link, interval=0.25, horizon=2.0,
                     registry=registry)
         sim.run(until=3.0)
-        depth = registry.histogram("queue.uplink.packets")
+        depth = registry.moments["queue.uplink.packets"]
         assert 39 <= depth.count <= 41
-        assert depth.percentile(95) > 50    # overloaded link builds a queue
-        util = registry.histogram(f"link.{link.name}.utilization")
+        # overloaded link builds a queue
+        assert registry.histograms["queue.uplink.packets"].percentile(95) > 50
+        util = registry.moments[f"link.{link.name}.tick_utilization"]
         assert 7 <= util.count <= 8
         assert util.mean > 0.9
-        assert registry.gauge("queue.uplink.bytes").moments.count == depth.count
+        assert registry.moments["queue.uplink.bytes"].count == depth.count
 
 
 class TestSlicing:

@@ -125,7 +125,7 @@ class TestAggregation:
         agg = run_cell(make_spec(), seed=3, duration=60.0).aggregate()
         assert agg.counts["scale.cells"] == 1
         assert agg.counts["scale.users"] > 0
-        assert agg.counts["obs.scale.cells"] == 1          # registry lift
+        assert agg.counts["obs.scale.cells"] == 1
         assert agg.counts["obs.scale.users"] == agg.counts["scale.users"]
         assert "scale.utilization" in agg.moments
         assert "obs.scale.utilization" in agg.histograms
@@ -135,12 +135,12 @@ class TestAggregation:
 
     def test_registry_feed_counts_match_timeline(self):
         process = run_cell(make_spec(load=1.2), seed=8, duration=60.0)
-        reg = process.registry()
+        counts = process.aggregate().counts
         tl = process.timeline
-        assert reg.counters["scale.fluid_steps"].value == len(tl.samples)
-        assert reg.counters["scale.users"].value == tl.distinct_users
-        contended = reg.counters["scale.contended_samples"].value
-        overloaded = reg.counters["scale.overloaded_samples"].value
+        assert counts["obs.scale.fluid_steps"] == len(tl.samples)
+        assert counts["obs.scale.users"] == tl.distinct_users
+        contended = counts["obs.scale.contended_samples"]
+        overloaded = counts["obs.scale.overloaded_samples"]
         assert 0 <= overloaded <= contended <= len(tl.samples)
 
     @settings(max_examples=25, deadline=None)
