@@ -564,7 +564,7 @@ def main(argv=None) -> int:
                             "from the scenario cost hint; 1 = unbatched)")
     fleet.add_argument("-w", "--workers", type=int, default=None,
                        help="worker processes (default: usable CPUs per "
-                            "the scheduling affinity; 1 = serial fallback)")
+                            "the scheduling affinity; 1 = in process)")
     fleet.add_argument("--seeds", type=int, default=None,
                        help="override seed replicas per grid point")
     fleet.add_argument("--no-cache", action="store_true",
@@ -605,7 +605,7 @@ def main(argv=None) -> int:
                             "(default: 7)")
     scale.add_argument("-w", "--workers", type=int, default=None,
                        help="worker processes (default: usable CPUs; "
-                            "1 = serial fallback)")
+                            "1 = in process)")
     scale.add_argument("--double-run", action="store_true",
                        help="run twice and require byte-identical "
                             "aggregate fingerprints (CI determinism gate)")

@@ -2,8 +2,8 @@
 
 Turns the deterministic single-scenario engine into a campaign
 machine: declare a :class:`Campaign` (scenario × parameter grid × seed
-range), run it with :func:`run_campaign` across a process pool (or the
-byte-identical serial fallback), and get back O(1)-sized mergeable
+range), run it with :func:`run_campaign` across a process pool (or,
+byte-identically, in process), and get back O(1)-sized mergeable
 :class:`Aggregate` statistics per grid point.  Results are cached on
 disk (:class:`ResultCache`) keyed by a content hash of the spec, so
 re-running a sweep only executes missing shards.

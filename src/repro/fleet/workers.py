@@ -1,13 +1,14 @@
 """Sharded campaign execution: warm worker pool, batching, streaming merge.
 
 :func:`run_campaign` expands a :class:`Campaign` into shards and runs
-them either serially (``workers <= 1``) or on a persistent process
-pool.  The two modes are **aggregate-equivalent by construction**: both
-compute one :class:`Aggregate` per shard and fold the per-shard
-aggregates through an :class:`OrderedReducer`, which merges strictly in
-shard-index order no matter when results arrive — so the merged result,
-and any report rendered from it, is byte-identical regardless of worker
-count, batching, scheduling, or completion order.
+them through one dispatch, retry and quarantine loop, on a persistent
+process pool or — for ``workers <= 1`` — on an in-process stand-in that
+runs each batch in the caller.  Every worker count computes one
+:class:`Aggregate` per shard and folds the per-shard aggregates through
+an :class:`OrderedReducer`, which merges strictly in shard-index order
+no matter when results arrive — so the merged result, and any report
+rendered from it, is byte-identical regardless of worker count,
+batching, scheduling, or completion order.
 
 Why parallelism used to lose
 ----------------------------
@@ -22,10 +23,9 @@ changes fix that:
   with an initializer that installs the campaign spec (canonical JSON,
   sent once), rebuilds the tag->spec map, and resolves the scenario
   function.  Workers then receive only ``(tag, attempt, fault_mode)``
-  tuples.  The pool context prefers ``fork`` (workers inherit the
-  parent's imported simulation stack — the warmest start; the runner
-  is single-threaded so fork is safe), with ``spawn``/``forkserver``
-  selectable via ``mp_context``.
+  tuples.  The pool context is ``fork`` where available (workers
+  inherit the parent's imported simulation stack — the warmest start;
+  the runner is single-threaded so fork is safe), ``spawn`` otherwise.
 - **Batched shard dispatch** — :func:`plan_batches` rides many small
   shards on one worker task, auto-tuned so each worker sees
   ``OVERSUBSCRIBE`` batches (load balance) with batches weighted by the
@@ -40,17 +40,18 @@ changes fix that:
 Fault tolerance
 ---------------
 - A shard that raises is charged an attempt and re-queued (as a
-  singleton batch) up to ``max_attempts`` times, with a decorrelated-
-  jitter delay between attempts (:meth:`DecorrelatedBackoff.from_tag`
-  seeded from the campaign, so even the retry schedule is
-  reproducible).  A raising shard never takes down its batch: the
-  worker records the error per shard and keeps running the siblings.
+  singleton batch) up to ``max_attempts`` times.  A raising shard never
+  takes down its batch: the worker records the error — with its
+  traceback and a flight-recorder crash dump — per shard and keeps
+  running the siblings.
 - A shard whose **worker process dies** (segfault, OOM kill, injected
   ``os._exit``) breaks the pool: every in-flight future fails with
-  :class:`BrokenProcessPool`.  The runner rebuilds the pool and reruns
-  each in-flight shard alone in a single-worker pool — the culprit
-  keeps breaking (only) its private pool until its attempts are
-  exhausted and it is **quarantined**; innocent batch-mates succeed.
+  :class:`BrokenProcessPool`.  After a decorrelated-jitter delay
+  (:meth:`DecorrelatedBackoff.from_tag` seeded from the campaign, so
+  even the rebuild schedule is reproducible) the runner rebuilds the
+  pool and reruns each in-flight shard alone in a single-worker pool —
+  the culprit keeps breaking (only) its private pool until its attempts
+  are exhausted and it is **quarantined**; innocent batch-mates succeed.
 - A batch that exceeds its deadline (``shard_timeout`` x batch length)
   is charged an attempt per shard and re-queued as singletons; the
   abandoned future is ignored if it ever completes.
@@ -63,8 +64,8 @@ Fault tolerance
 Fault injection (for tests and the CI ``fleet-smoke`` job) is a
 first-class input: :class:`FaultInjection` names shard tags that must
 misbehave, either by raising or by killing their worker process.  In
-serial mode a "kill" downgrades to a raise — the fallback must never
-take down the caller.
+process (``workers <= 1``) a "kill" downgrades to a raise — it must
+never take down the caller.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import os
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -96,10 +97,6 @@ OVERSUBSCRIBE = 4
 #: Hard cap on shards per batch: bounds the blast radius of a mid-batch
 #: worker death and keeps batch timeouts/requeues reasonably granular.
 MAX_BATCH = 64
-
-#: Modules the forkserver preloads so post-break pool rebuilds fork from
-#: an interpreter that has already paid the scenario import cost.
-_PRELOAD_MODULES = ["repro.fleet.scenarios"]
 
 
 def usable_cpus() -> int:
@@ -136,6 +133,11 @@ class FaultInjection:
     mode: str = "raise"              # "raise" | "kill"
     fail_attempts: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("raise", "kill"):
+            raise ValueError(f"unknown fault mode {self.mode!r} "
+                             "(expected 'raise' or 'kill')")
+
     def active(self, tag: str, attempt: int) -> bool:
         if tag not in self.tags:
             return False
@@ -157,7 +159,7 @@ class ShardOutcome:
     #: surrounding FleetResult for context.
     scenario: Optional[str] = None
     #: full error history, one entry per failed attempt (``error`` keeps
-    #: only the last); pooled real failures carry the worker traceback.
+    #: only the last); a raising shard's entry carries its traceback.
     errors: List[str] = field(default_factory=list)
     #: path of the flight-recorder artifact collected for a quarantined
     #: shard (None when no recorder ran or nothing matched the tag).
@@ -176,11 +178,12 @@ class FleetResult:
     cache_misses: int = 0
     elapsed: float = 0.0
     workers: int = 1
-    #: batches dispatched to the pool (0 for serial / fully cached runs)
+    #: batches dispatched, in process or to the pool (0 for fully
+    #: cached runs)
     n_batches: int = 0
     #: peak number of out-of-order results the streaming reducer buffered
     max_buffered: int = 0
-    #: multiprocessing start method the pool used (None for serial)
+    #: multiprocessing start method the pool used (None in process)
     start_method: Optional[str] = None
     #: reporting hints copied from the ScenarioDef (keeps report
     #: rendering free of fleet imports)
@@ -250,11 +253,12 @@ _BatchResult = Tuple[List[_TaskResult], List[dict]]
 def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
     """Run a batch of shard tasks in this (pre-warmed) worker.
 
-    Per-shard failures are *data*, not exceptions: a raising shard is
-    reported as ``("err", message)`` carrying the worker-side traceback,
-    and its batch-mates still run.  Only a process-killing fault (or a
-    genuine crash) loses the batch, which the runner repairs via
-    single-shard isolation.
+    Per-shard failures are *data*, not exceptions: a raising shard —
+    an injected ``raise`` fault included — is reported as
+    ``("err", message)`` carrying the worker-side traceback (and leaves
+    a flight-recorder crash dump), and its batch-mates still run.  Only
+    a process-killing fault (or a genuine crash) loses the batch, which
+    the runner repairs via single-shard isolation.
     """
     specs: Dict[str, ShardSpec] = _WORKER["specs"]
     fn = _WORKER["fn"]
@@ -271,14 +275,12 @@ def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
             flight.begin_shard(tag, attempt)
         if fault_mode == "kill":
             os._exit(86)  # simulate a crashed/OOM-killed worker
-        if fault_mode:
-            out.append((tag, "err",
-                        f"ShardError: injected {fault_mode} fault in shard "
-                        f"{tag!r} (attempt {attempt})"))
-            continue
         spec = specs[tag]
         t0 = time.monotonic() - epoch if epoch is not None else 0.0
         try:
+            if fault_mode:
+                raise ShardError(f"injected {fault_mode} fault in shard "
+                                 f"{tag!r} (attempt {attempt})")
             out.append((tag, "ok", fn(spec.seed, spec.param_dict()).to_json()))
             ok = True
         except Exception as exc:  # noqa: BLE001 - reported per shard, retried
@@ -298,14 +300,33 @@ def _execute_batch(tasks: Sequence[_Task]) -> _BatchResult:
     return out, events
 
 
-def _run_shard_inline(spec: ShardSpec, fn, attempt: int,
-                      faults: Optional[FaultInjection]) -> str:
-    """Serial fallback for one shard (kill downgrades to raise)."""
-    if faults is not None and faults.active(spec.tag, attempt):
-        raise ShardError(
-            f"injected {faults.mode} fault in shard {spec.tag!r} "
-            f"(attempt {attempt})")
-    return fn(spec.seed, spec.param_dict()).to_json()
+class _InProcessPool:
+    """Stand-in for :class:`ProcessPoolExecutor` that runs in the caller.
+
+    ``workers <= 1`` campaigns use it, so they go through the same
+    dispatch, retry and quarantine loop — and the same
+    :func:`_execute_batch` — as pooled ones.  The constructor installs
+    the spec here, as a pool worker's initializer would; :meth:`submit`
+    runs the batch there and then and returns a finished future.
+    """
+
+    def __init__(self, spec_json: str, telemetry_epoch: Optional[float],
+                 flight_dir: Optional[str]) -> None:
+        _worker_init(spec_json, telemetry_epoch, flight_dir)
+
+    def submit(self, fn, *args) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - delivered like a pool's
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        flight = _WORKER.get("flight")
+        if flight is not None:
+            flight.uninstall()
+        _WORKER.clear()
 
 
 # ----------------------------------------------------------------------
@@ -390,29 +411,19 @@ def batch_cost_efficiency(batches: Sequence[Sequence["_ShardState"]],
     return (sum(costs) / len(costs)) / peak
 
 
-def _pool_context(method: Optional[str] = None):
+def _pool_context():
     """Pick the multiprocessing context for the warm pool.
 
-    Prefers ``fork`` — workers inherit the parent's already-imported
-    simulation stack, which is the warmest possible start (measured
-    ~20 ms to spin a 2-worker pool vs ~1 s+ for spawn/forkserver, which
-    re-import the main module per worker).  The runner is
-    single-threaded, so fork is safe here.  Where fork is unavailable
-    (Windows/macOS-spawn), falls back to ``spawn``; ``forkserver`` can
-    be requested explicitly and gets the scenario module preloaded so
-    post-break pool rebuilds fork from a warm server.
+    ``fork`` where available — workers inherit the parent's
+    already-imported simulation stack, which is the warmest possible
+    start (measured ~20 ms to spin a 2-worker pool vs ~1 s+ for spawn,
+    which re-imports the main module per worker).  The runner is
+    single-threaded, so fork is safe here.  Elsewhere (Windows,
+    macOS-spawn) ``spawn``.
     """
-    if method is None:
-        method = ("fork"
-                  if "fork" in multiprocessing.get_all_start_methods()
-                  else "spawn")
-    ctx = multiprocessing.get_context(method)
-    if method == "forkserver":
-        try:
-            ctx.set_forkserver_preload(_PRELOAD_MODULES)
-        except Exception:  # pragma: no cover - preload is best-effort
-            pass
-    return ctx
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    return multiprocessing.get_context(method)
 
 
 # ----------------------------------------------------------------------
@@ -440,25 +451,25 @@ def run_campaign(
     faults: Optional[FaultInjection] = None,
     progress: Optional[ProgressFn] = None,
     batch_size: Optional[int] = None,
-    mp_context: Optional[str] = None,
     telemetry: Optional[TelemetryCollector] = None,
     flight_dir=None,
 ) -> FleetResult:
     """Run every shard of ``campaign`` and merge the results.
 
-    ``workers <= 1`` selects the serial in-process fallback; otherwise a
-    persistent warm process pool of that size.  ``batch_size`` pins the
+    ``workers <= 1`` runs the batches in process; otherwise on a
+    persistent warm process pool of that size.  Both go through the
+    same dispatch, retry and quarantine loop; in process a ``kill``
+    fault downgrades to a raise.  ``batch_size`` pins the
     shards-per-task batch (``None`` auto-tunes, ``1`` restores unbatched
-    dispatch); ``mp_context`` pins the multiprocessing start method.
-    ``cache`` (optional) is consulted before any execution and updated
-    after every successful shard.
+    dispatch).  ``cache`` (optional) is consulted before any execution
+    and updated after every successful shard.
 
     ``telemetry`` (optional :class:`TelemetryCollector`) turns on the
     wall-clock telemetry bus; the finalized document lands in
     ``FleetResult.telemetry``.  ``flight_dir`` (optional path) arms the
-    crash flight recorder in every worker (and in-process for serial
-    runs); quarantine records then carry the matching flight artifact
-    path.  Neither affects any aggregate byte — pinned by
+    crash flight recorder in every worker (in the caller when
+    ``workers <= 1``); quarantine records then carry the matching flight
+    artifact path.  Neither affects any aggregate byte — pinned by
     ``tests/test_fleet_telemetry.py``.
     """
     if max_attempts < 1:
@@ -527,27 +538,15 @@ def run_campaign(
         if progress is not None:
             progress(len(outcomes), len(shards), time.monotonic() - t0)
 
+    ctx = _pool_context() if workers > 1 else None
+    start_method = ctx.get_start_method() if ctx is not None else None
     n_batches = 0
-    start_method: Optional[str] = None
-    if workers <= 1:
-        flight = None
-        if flight_dir is not None:
-            flight = FlightRecorder(flight_dir)
-            flight.install()
-        try:
-            _run_serial(todo, scenario, faults, max_attempts, backoff,
-                        record_ok, record_quarantine,
-                        telemetry=telemetry, flight=flight)
-        finally:
-            if flight is not None:
-                flight.uninstall()
-    else:
-        ctx = _pool_context(mp_context)
-        start_method = ctx.get_start_method()
-        n_batches = _run_pool(campaign, todo, scenario, faults, workers,
-                              batch_size, ctx, max_attempts, shard_timeout,
-                              backoff, record_ok, record_quarantine,
-                              telemetry=telemetry, flight_dir=flight_dir)
+    if todo:  # a fully cached run builds no pool, in process or out
+        n_batches = _run_pool(campaign, todo, scenario, faults,
+                              max(1, workers), batch_size, ctx, max_attempts,
+                              shard_timeout, backoff, record_ok,
+                              record_quarantine, telemetry=telemetry,
+                              flight_dir=flight_dir)
 
     result = FleetResult(
         campaign=campaign,
@@ -577,63 +576,27 @@ def run_shard(campaign: Campaign, tag: str) -> Aggregate:
     fn = get_scenario(campaign.scenario).fn
     # Round-trip through canonical JSON exactly like pooled/cached
     # results, so a replay is byte-comparable with campaign output.
-    return Aggregate.from_json(
-        _run_shard_inline(spec, fn, attempt=0, faults=None))
+    return Aggregate.from_json(fn(spec.seed, spec.param_dict()).to_json())
 
 
 # ----------------------------------------------------------------------
-def _run_serial(todo, scenario, faults, max_attempts, backoff,
-                record_ok, record_quarantine, telemetry=None,
-                flight=None) -> None:
-    pid = os.getpid()
-    for spec in todo:
-        state = _ShardState(spec)
-        while state.attempts < max_attempts:
-            attempt = state.attempts
-            state.attempts += 1
-            if flight is not None:
-                flight.begin_shard(spec.tag, attempt)
-            t0 = telemetry.now() if telemetry is not None else 0.0
-            try:
-                record_ok(spec, state.attempts,
-                          _run_shard_inline(spec, scenario.fn, attempt, faults))
-                if telemetry is not None:
-                    telemetry.record({"ev": "shard", "pid": pid,
-                                      "tag": spec.tag, "attempt": attempt,
-                                      "t0": t0, "t1": telemetry.now(),
-                                      "ok": True})
-                break
-            except Exception as exc:  # noqa: BLE001 - any shard failure retries
-                tb = traceback.format_exc()
-                if flight is not None:
-                    flight.dump_crash(spec.tag, attempt, tb)
-                state.errors.append(f"{type(exc).__name__}: {exc}\n{tb}")
-                if telemetry is not None:
-                    telemetry.record({"ev": "shard", "pid": pid,
-                                      "tag": spec.tag, "attempt": attempt,
-                                      "t0": t0, "t1": telemetry.now(),
-                                      "ok": False})
-                if state.attempts < max_attempts:
-                    if telemetry is not None:
-                        telemetry.record({"ev": "retry", "t": telemetry.now(),
-                                          "tag": spec.tag,
-                                          "attempt": state.attempts,
-                                          "error": type(exc).__name__})
-                    time.sleep(backoff.next())
-        else:
-            record_quarantine(state)
-
-
 def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
               max_attempts, shard_timeout, backoff,
               record_ok, record_quarantine, telemetry=None,
               flight_dir=None) -> int:
-    """Persistent-pool execution; returns the number of dispatched batches."""
+    """Dispatch, retry and quarantine loop; returns the dispatched batches.
+
+    ``ctx`` is the multiprocessing context of a warm process pool, or
+    ``None`` to run every batch in process (:class:`_InProcessPool`).
+    """
     spec_json = campaign.spec_json()
     epoch = telemetry.epoch if telemetry is not None else None
     flight_arg = str(flight_dir) if flight_dir is not None else None
+    in_process = ctx is None
 
-    def make_pool(n: int) -> ProcessPoolExecutor:
+    def make_pool(n: int):
+        if in_process:
+            return _InProcessPool(spec_json, epoch, flight_arg)
         return ProcessPoolExecutor(
             max_workers=n, mp_context=ctx,
             initializer=_worker_init,
@@ -642,6 +605,19 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
     pending: deque = deque(
         plan_batches([_ShardState(spec) for spec in todo],
                      workers, batch_size, scenario))
+
+    def requeue(state: _ShardState) -> None:
+        if state.attempts >= max_attempts:
+            record_quarantine(state)
+            return
+        if telemetry is not None:
+            telemetry.record({
+                "ev": "retry", "t": telemetry.now(), "tag": state.spec.tag,
+                "attempt": state.attempts,
+                "error": (state.errors[-1].splitlines()[0]
+                          if state.errors else None)})
+        pending.append([state])   # retries run as singleton batches
+
     pool = make_pool(workers)
     in_flight: Dict[object, Tuple[List[_ShardState], float]] = {}
     abandoned = False
@@ -652,21 +628,15 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
             # Keep the pool saturated but bounded: 2 queued per slot.
             while pending and len(in_flight) < 2 * workers:
                 batch = pending.popleft()
-                tasks: List[_Task] = []
-                for state in batch:
-                    fault_mode = (faults.mode if faults is not None
-                                  and faults.active(state.spec.tag, state.attempts)
-                                  else None)
-                    tasks.append((state.spec.tag, state.attempts, fault_mode))
-                    state.attempts += 1
+                tasks = tuple(_next_task(state, faults, in_process)
+                              for state in batch)
                 try:
-                    fut = pool.submit(_execute_batch, tuple(tasks))
+                    fut = pool.submit(_execute_batch, tasks)
                 except BrokenProcessPool:
                     pool_broken = True
                     for state in batch:
                         state.errors.append("BrokenProcessPool: submit refused")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
+                        requeue(state)
                     break
                 dispatched += 1
                 if telemetry is not None:
@@ -693,22 +663,9 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                 except Exception as exc:  # noqa: BLE001 - whole batch failed
                     for state in batch:
                         state.errors.append(f"{type(exc).__name__}: {exc}")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
+                        requeue(state)
                 else:
-                    by_tag = {state.spec.tag: state for state in batch}
-                    for tag, status, payload in results:
-                        state = by_tag.pop(tag)
-                        if status == "ok":
-                            record_ok(state.spec, state.attempts, payload)
-                        else:
-                            state.errors.append(payload)
-                            _requeue(state, pending, max_attempts,
-                                     record_quarantine, telemetry)
-                    for state in by_tag.values():  # pragma: no cover - defensive
-                        state.errors.append("shard missing from batch result")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
+                    _settle(results, batch, record_ok, requeue)
                     if telemetry is not None:
                         telemetry.absorb(worker_events)
                         telemetry.record({"ev": "batch_done",
@@ -731,8 +688,8 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                                       "suspects": len(suspects)})
                 time.sleep(backoff.next())
                 _isolate_suspects(suspects, faults, max_attempts,
-                                  shard_timeout, make_pool, pending,
-                                  record_ok, record_quarantine, telemetry)
+                                  shard_timeout, make_pool, record_ok,
+                                  record_quarantine, requeue, telemetry)
                 pool = make_pool(workers)
                 continue
 
@@ -752,8 +709,7 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                     for state in batch:
                         state.errors.append(
                             f"timeout after {shard_timeout * max(1, len(batch)):.1f}s")
-                        _requeue(state, pending, max_attempts,
-                                 record_quarantine, telemetry)
+                        requeue(state)
     finally:
         # wait= joins the workers so nothing races interpreter teardown;
         # only skip the join when a timed-out batch was abandoned and a
@@ -762,9 +718,41 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
     return dispatched
 
 
+def _next_task(state: _ShardState, faults: Optional[FaultInjection],
+               in_process: bool) -> _Task:
+    """Charge ``state`` an attempt and return its task tuple.
+
+    The tuple names the fault injected into this attempt, if any.  In
+    process a ``kill`` downgrades to a ``raise``: it must never take
+    down the caller.
+    """
+    fault_mode = None
+    if faults is not None and faults.active(state.spec.tag, state.attempts):
+        fault_mode = "raise" if in_process else faults.mode
+    task = (state.spec.tag, state.attempts, fault_mode)
+    state.attempts += 1
+    return task
+
+
+def _settle(results: Sequence[_TaskResult], batch: Sequence[_ShardState],
+            record_ok, requeue) -> None:
+    """Record each ``(tag, status, payload)`` result, or retry its shard."""
+    by_tag = {state.spec.tag: state for state in batch}
+    for tag, status, payload in results:
+        state = by_tag.pop(tag)
+        if status == "ok":
+            record_ok(state.spec, state.attempts, payload)
+        else:
+            state.errors.append(payload)
+            requeue(state)
+    for state in by_tag.values():  # pragma: no cover - defensive
+        state.errors.append("shard missing from batch result")
+        requeue(state)
+
+
 def _isolate_suspects(suspects, faults, max_attempts, shard_timeout,
-                      make_pool, pending: deque,
-                      record_ok, record_quarantine, telemetry=None) -> None:
+                      make_pool, record_ok, record_quarantine, requeue,
+                      telemetry=None) -> None:
     """Identify which broken-pool casualty actually kills workers.
 
     Each suspect gets one attempt in its own single-worker (warm) pool.
@@ -776,53 +764,27 @@ def _isolate_suspects(suspects, faults, max_attempts, shard_timeout,
         if state.attempts >= max_attempts:
             record_quarantine(state)
             continue
-        fault_mode = (faults.mode if faults is not None
-                      and faults.active(state.spec.tag, state.attempts)
-                      else None)
-        task = (state.spec.tag, state.attempts, fault_mode)
-        state.attempts += 1
+        task = _next_task(state, faults, in_process=False)
         iso = make_pool(1)
         try:
             results, worker_events = iso.submit(
                 _execute_batch, (task,)).result(timeout=shard_timeout)
             if telemetry is not None:
                 telemetry.absorb(worker_events)
-            tag, status, payload = results[0]
-            if status == "ok":
-                record_ok(state.spec, state.attempts, payload)
-            else:
-                state.errors.append(payload)
-                _requeue(state, pending, max_attempts, record_quarantine,
-                         telemetry)
+            _settle(results, [state], record_ok, requeue)
         except BrokenProcessPool:
             state.errors.append(
                 f"BrokenProcessPool: worker died in isolation running shard "
                 f"{state.spec.tag!r} (attempt {state.attempts})")
-            _requeue(state, pending, max_attempts, record_quarantine,
-                     telemetry)
+            requeue(state)
         except Exception as exc:  # noqa: BLE001 - incl. TimeoutError
             state.errors.append(
                 f"{type(exc).__name__}: {exc} "
                 f"[isolation of shard {state.spec.tag!r}, "
                 f"attempt {state.attempts}]")
-            _requeue(state, pending, max_attempts, record_quarantine,
-                     telemetry)
+            requeue(state)
         finally:
             iso.shutdown(wait=True, cancel_futures=True)
-
-
-def _requeue(state: _ShardState, pending: deque, max_attempts: int,
-             record_quarantine, telemetry=None) -> None:
-    if state.attempts >= max_attempts:
-        record_quarantine(state)
-    else:
-        if telemetry is not None:
-            telemetry.record({
-                "ev": "retry", "t": telemetry.now(), "tag": state.spec.tag,
-                "attempt": state.attempts,
-                "error": (state.errors[-1].splitlines()[0]
-                          if state.errors else None)})
-        pending.append([state])   # retries run as singleton batches
 
 
 __all__ = [

@@ -411,7 +411,7 @@ class Sim004UnorderedIteration(Rule):
     rationale = """
 ``set`` iteration order depends on insertion history *and* on the
 per-process string-hash salt (PYTHONHASHSEED), so two processes — e.g.
-a fleet worker and the byte-identical serial fallback — can walk the
+a fleet worker and a byte-identical in-process run — can walk the
 same set differently.  Harmless for commutative folds (unions, sums),
 fatal when the order reaches an order-sensitive sink: ``schedule()``
 assigns tie-breaking sequence numbers in call order, and list-building
@@ -819,7 +819,7 @@ class Catalog:
 
     #: Fleet worker entry points: the functions a pool worker executes.
     WORKER_ENTRY_NAMES = frozenset({
-        "run_shard", "_run_shard_inline", "_execute_batch", "_worker_init",
+        "run_shard", "_execute_batch", "_worker_init",
     })
     SCENARIO_DECORATORS = frozenset({"register_scenario"})
 

@@ -5,7 +5,7 @@ executor: the *city* is the campaign, each *cell* is a grid point, and
 the tracked *cohort* members are the remaining grid axis.  Every shard
 is the usual pure function ``fn(seed, params) -> Aggregate``, so cost
 planning (:func:`repro.fleet.workers.plan_batches`), caching, retry,
-quarantine and the byte-identical serial fallback all apply unchanged.
+quarantine and byte-identical in-process runs all apply unchanged.
 
 One shard of ``city_coverage`` does three things:
 

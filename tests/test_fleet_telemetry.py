@@ -196,6 +196,19 @@ class TestQuarantineRecords:
         assert "Traceback (most recent call last)" in outcome.errors[-1]
         assert outcome.error  # last error is still summarized
 
+    def test_pooled_raise_carries_traceback_and_crash_dump(self, tmp_path):
+        """An injected raise goes through the real shard-error path."""
+        c = tiny_campaign(seeds=3)
+        tag = c.shards()[2].tag
+        result = run_campaign(
+            c, workers=2, batch_size=2,
+            faults=FaultInjection(tags=(tag,), mode="raise"),
+            max_attempts=2, flight_dir=tmp_path, **FAST_BACKOFF)
+        assert result.quarantined == [tag]
+        outcome = next(o for o in result.outcomes if o.tag == tag)
+        assert "Traceback (most recent call last)" in outcome.errors[-1]
+        assert read_flight_dump(outcome.flight)["kind"] == "crash"
+
     def test_pooled_kill_leaves_quarantine_and_flight(self, tmp_path):
         c = tiny_campaign(seeds=3)
         tag = c.shards()[2].tag

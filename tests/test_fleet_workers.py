@@ -31,6 +31,7 @@ class TestDeterminism:
         c = tiny_campaign(seeds=3)  # 6 shards
         serial = run_campaign(c, workers=1)
         pooled = run_campaign(c, workers=2)
+        assert serial.n_batches >= 1  # in process, through the same loop
         assert serial.aggregate.to_json() == pooled.aggregate.to_json()
         assert list(serial.per_point) == list(pooled.per_point)
         for label in serial.per_point:
@@ -95,7 +96,7 @@ class TestDeterminism:
         r = run_campaign(c, workers=2)
         assert r.max_buffered <= len(c.shards())
         assert r.n_batches >= 1
-        assert r.start_method in ("forkserver", "spawn", "fork")
+        assert r.start_method in ("fork", "spawn")
 
 
 class TestFaultTolerance:
@@ -142,6 +143,8 @@ class TestFaultTolerance:
         r = run_campaign(c, workers=1, faults=faults, max_attempts=2,
                          **FAST_BACKOFF)
         assert r.quarantined == [tag]
+        with pytest.raises(ValueError):
+            FaultInjection(tags=(tag,), mode="kil")
 
     def test_quarantine_excluded_from_merge(self):
         c = tiny_campaign()
