@@ -277,7 +277,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     text = fleet_report(result)
 
     FLEET_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out = FLEET_RESULTS_DIR / f"{campaign.name}.txt"
+    # A fault-injection smoke keeps its report apart (and gitignored),
+    # so it never overwrites the campaign's tracked clean report.
+    suffix = "-inject-fault" if args.inject_fault else ""
+    out = FLEET_RESULTS_DIR / f"{campaign.name}{suffix}.txt"
     out.write_text(text + "\n")
     print(text)
     status = 0

@@ -54,7 +54,9 @@ Fault tolerance
   are exhausted and it is **quarantined**; innocent batch-mates succeed.
 - A batch that exceeds its deadline (``shard_timeout`` x batch length)
   is charged an attempt per shard and re-queued as singletons; the
-  abandoned future is ignored if it ever completes.
+  abandoned future is ignored if it ever completes.  In process the
+  check runs when the batch returns, so a late result is dropped the
+  same way, but a shard that never returns cannot be pre-empted.
 - Quarantined shards never fail the campaign: they are excluded from
   the merge (the reducer skips their index) and listed in the report,
   and each one is individually replayable from its tag
@@ -618,6 +620,15 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                           if state.errors else None)})
         pending.append([state])   # retries run as singleton batches
 
+    def time_out(batch: List[_ShardState]) -> None:
+        if telemetry is not None:
+            telemetry.record({"ev": "timeout", "t": telemetry.now(),
+                              "n": len(batch)})
+        for state in batch:
+            state.errors.append(
+                f"timeout after {shard_timeout * max(1, len(batch)):.1f}s")
+            requeue(state)
+
     pool = make_pool(workers)
     in_flight: Dict[object, Tuple[List[_ShardState], float]] = {}
     abandoned = False
@@ -630,6 +641,8 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                 batch = pending.popleft()
                 tasks = tuple(_next_task(state, faults, in_process)
                               for state in batch)
+                deadline = (time.monotonic()
+                            + shard_timeout * max(1, len(batch)))
                 try:
                     fut = pool.submit(_execute_batch, tasks)
                 except BrokenProcessPool:
@@ -642,9 +655,12 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                 if telemetry is not None:
                     telemetry.record({"ev": "dispatch", "t": telemetry.now(),
                                       "batch": dispatched, "n": len(tasks)})
-                in_flight[fut] = (batch,
-                                  time.monotonic()
-                                  + shard_timeout * max(1, len(batch)))
+                if in_process and time.monotonic() >= deadline:
+                    # A run in the caller cannot be pre-empted, only
+                    # charged once it returns late: drop its result.
+                    time_out(batch)
+                    continue
+                in_flight[fut] = (batch, deadline)
 
             done, _ = wait(list(in_flight), timeout=0.25,
                            return_when=FIRST_COMPLETED)
@@ -702,14 +718,7 @@ def _run_pool(campaign, todo, scenario, faults, workers, batch_size, ctx,
                     # charge the attempt; members retry as singletons.
                     del in_flight[fut]
                     abandoned = True
-                    if telemetry is not None:
-                        telemetry.record({"ev": "timeout",
-                                          "t": telemetry.now(),
-                                          "n": len(batch)})
-                    for state in batch:
-                        state.errors.append(
-                            f"timeout after {shard_timeout * max(1, len(batch)):.1f}s")
-                        requeue(state)
+                    time_out(batch)
     finally:
         # wait= joins the workers so nothing races interpreter teardown;
         # only skip the join when a timed-out batch was abandoned and a

@@ -28,9 +28,9 @@ is shed (admission pressure) and accounted as blocked user-seconds.
 Per-user quantities reuse the *same* measured access distributions the
 event-level simulator builds links from (:mod:`repro.wireless.profiles`):
 a cell references an :class:`~repro.wireless.profiles.AccessProfile`
-by name, per-user throughput under load comes from
-:meth:`AccessProfile.per_user_share`, and the MAR-readiness
-classification applies the §III-B thresholds to the loaded profile.
+by name, and both the per-user throughput under load and the
+MAR-readiness classification (§III-B uplink and RTT thresholds) come
+from :func:`~repro.wireless.profiles.load_factors`.
 
 Everything a cell produces is distilled into one O(1)-sized mergeable
 :class:`~repro.analysis.stats.Aggregate` — the same container fleet
@@ -51,6 +51,7 @@ from repro.wireless.profiles import (
     MAR_MIN_UPLINK_BPS,
     AccessProfile,
     all_profiles,
+    load_factors,
 )
 
 #: AR(1) relaxation of the log-load perturbation per fluid step: the
@@ -171,17 +172,19 @@ class CellTimeline:
         """Fraction of samples where a §III-B-compliant session fits.
 
         Applies the MAR uplink and latency requirements to the cell's
-        profile *under its instantaneous load* — the same
-        ``under_load`` hook the foreground coupling uses.
+        profile *under its instantaneous load*: the loaded uplink and
+        RTT are the products :meth:`AccessProfile.under_load` forms,
+        from one :func:`load_factors` call per sample and no profile.
         """
         if not self.samples:
             return 0.0
         profile = profile_by_name(self.spec.profile)
+        up_mean, rtt = profile.up_mean, profile.rtt
         ready = 0
         for _t, _n, rho in self.samples:
-            loaded = profile.under_load(rho)
-            if (loaded.up_mean >= MAR_MIN_UPLINK_BPS
-                    and loaded.rtt <= MAR_MAX_RTT):
+            f = load_factors(rho)
+            if (up_mean * f.share >= MAR_MIN_UPLINK_BPS
+                    and rtt * f.delay_factor <= MAR_MAX_RTT):
                 ready += 1
         return ready / len(self.samples)
 
@@ -248,7 +251,7 @@ class CellProcess:
         """
         from repro.analysis.stats import Aggregate
 
-        profile = profile_by_name(self.spec.profile)
+        up_mean = profile_by_name(self.spec.profile).up_mean
         tl = self.timeline
         agg = Aggregate()
         agg.count("scale.cells")
@@ -263,7 +266,7 @@ class CellProcess:
         for _t, n, rho in tl.samples:
             rho_moment.add(rho)
             users_moment.add(n)
-            share_moment.add(profile.up_mean * profile.per_user_share(rho))
+            share_moment.add(up_mean * load_factors(rho).share)
             util_hist.add(rho)
             if rho > CONTENTION_RHO:
                 contended += 1

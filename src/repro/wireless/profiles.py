@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.simnet.link import VariableRateLink
 from repro.simnet.network import Network
@@ -62,8 +62,7 @@ def mbps(x: float) -> float:
     return x * 1e6
 
 
-@dataclass(frozen=True)
-class LoadFactors:
+class LoadFactors(NamedTuple):
     """How a background utilization ρ degrades one more user's service.
 
     ``share`` multiplies throughputs, ``delay_factor`` multiplies RTT
@@ -95,13 +94,19 @@ def load_factors(utilization: float) -> LoadFactors:
     - loss picks up the overload residue once offered load exceeds
       capacity (ρ>1 sheds the excess), capped at
       :data:`MAX_OVERLOAD_LOSS`.
+
+    The fluid tier calls this for every sample, so each ``min``/``max``
+    is a conditional that keeps the builtin's operand order: NaN clamps
+    to ρ=0 and the floats stay bit-equal (tests/test_scale_coupling.py).
     """
-    rho = max(0.0, float(utilization))
-    share = max(1.0 - rho, MIN_LOAD_SHARE)
-    delay_factor = 1.0 + min(rho, 1.0) / max(1.0 - rho, MIN_LOAD_SHARE)
-    extra_loss = min(max(rho - 1.0, 0.0) / max(rho, 1.0), MAX_OVERLOAD_LOSS)
-    return LoadFactors(share=share, delay_factor=delay_factor,
-                       extra_loss=extra_loss)
+    rho = float(utilization)
+    rho = rho if rho > 0.0 else 0.0
+    share = MIN_LOAD_SHARE if MIN_LOAD_SHARE > 1.0 - rho else 1.0 - rho
+    if rho > 1.0:
+        loss = (rho - 1.0) / rho
+        return LoadFactors(share, 1.0 + 1.0 / share,
+                           MAX_OVERLOAD_LOSS if MAX_OVERLOAD_LOSS < loss else loss)
+    return LoadFactors(share, 1.0 + rho / share, 0.0)
 
 
 @dataclass(frozen=True)
@@ -151,18 +156,6 @@ class AccessProfile:
     # ------------------------------------------------------------------
     # Exogenous-load hook (repro.scale background population coupling)
     # ------------------------------------------------------------------
-    def per_user_share(self, utilization: float) -> float:
-        """Processor-sharing capacity fraction left for one more user.
-
-        ``utilization`` is the background population's offered load as
-        a fraction of cell capacity (the fluid model's ρ).  At ρ=0 the
-        share is exactly 1.0 — the zero-background fast path must leave
-        link parameters byte-identical — and it floors at
-        :data:`MIN_LOAD_SHARE` so an overloaded cell degrades instead
-        of dividing by zero.
-        """
-        return load_factors(utilization).share
-
     def under_load(self, utilization: float) -> "AccessProfile":
         """Derive the profile one *additional* user experiences when a
         background population already fills ``utilization`` of the cell.
@@ -171,7 +164,7 @@ class AccessProfile:
         fluid background tier press on event-level foreground sessions:
 
         - throughputs scale by the processor-sharing residue
-          :meth:`per_user_share` (802.11 DCF and cellular schedulers
+          ``max(1-ρ, MIN_LOAD_SHARE)`` (802.11 DCF and cellular schedulers
           both approximate equal time/resource shares);
         - RTT and jitter inflate by the M/M/1-style queueing factor
           ``1 + ρ/(1-ρ)`` (capped via :data:`MIN_LOAD_SHARE`), the

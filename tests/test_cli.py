@@ -80,6 +80,26 @@ def test_fleet_runs_and_saves_report(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "fleet" / "smoke.txt").exists()
 
 
+def test_fleet_inject_fault_keeps_clean_report(tmp_path, monkeypatch,
+                                              capsys):
+    """The fault-injection smoke writes its own report and leaves the
+    campaign's clean (tracked) report alone."""
+    import repro.cli as cli
+
+    fleet_dir = tmp_path / "fleet"
+    monkeypatch.setattr(cli, "FLEET_RESULTS_DIR", fleet_dir)
+    fleet_dir.mkdir()
+    clean = fleet_dir / "smoke.txt"
+    clean.write_text("clean report\n")
+    rc = main(["fleet", "smoke", "--seeds", "1", "-w", "1", "--no-cache",
+               "--quiet", "--inject-fault", "--expect-quarantine"])
+    assert rc == 0
+    assert clean.read_text() == "clean report\n"
+    injected = (fleet_dir / "smoke-inject-fault.txt").read_text()
+    assert "quarantine" in injected.lower()
+    assert "smoke-inject-fault.txt" in capsys.readouterr().err
+
+
 def test_fleet_replay_prints_shard_aggregate(capsys):
     import json
 

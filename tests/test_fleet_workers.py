@@ -146,6 +146,20 @@ class TestFaultTolerance:
         with pytest.raises(ValueError):
             FaultInjection(tags=(tag,), mode="kil")
 
+    def test_shard_timeout_enforced_in_process(self):
+        """A batch that returns after its deadline is charged a timeout
+        attempt in process, as a pool charges one it stops waiting for:
+        its members retry as singletons until quarantined."""
+        c = tiny_campaign(seeds=2)  # 4 shards
+        r = run_campaign(c, workers=1, batch_size=4, shard_timeout=1e-4,
+                         max_attempts=2, **FAST_BACKOFF)
+        assert sorted(r.quarantined) == sorted(s.tag for s in c.shards())
+        assert r.n_batches == 1 + 4
+        for outcome in r.outcomes:
+            assert outcome.attempts == 2
+            assert outcome.error.startswith("timeout after")
+        assert r.aggregate.counts.get("sessions", 0) == 0
+
     def test_quarantine_excluded_from_merge(self):
         c = tiny_campaign()
         tag = c.shards()[0].tag

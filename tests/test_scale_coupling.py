@@ -1,8 +1,12 @@
 """Tier coupling: zero-background byte-identity, pressure, promotion."""
 
 import hashlib
+import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.campaign import get_scenario
 from repro.scale.coupling import (
@@ -13,8 +17,17 @@ from repro.scale.coupling import (
     promote_user,
     run_pressured_session,
 )
+from repro.scale.population import CellSpec, CellTimeline, run_cell
 from repro.simnet.engine import Simulator
-from repro.wireless.profiles import LTE, load_factors
+from repro.wireless.profiles import (
+    LTE,
+    MAR_MAX_RTT,
+    MAR_MIN_UPLINK_BPS,
+    MAX_OVERLOAD_LOSS,
+    MIN_LOAD_SHARE,
+    all_profiles,
+    load_factors,
+)
 
 
 def fingerprint(agg) -> str:
@@ -233,3 +246,92 @@ class TestLoadHooks:
         result = executor.run(n_frames=5)
         assert result.frames_completed >= 1
         assert all(lat > 0 for lat in result.frame_latencies)
+
+
+def reference_load_factors(utilization):
+    """The min/max form of the ρ → degradation formula that
+    :func:`load_factors` must reproduce bit for bit."""
+    rho = max(0.0, float(utilization))
+    share = max(1.0 - rho, MIN_LOAD_SHARE)
+    delay_factor = 1.0 + min(rho, 1.0) / max(1.0 - rho, MIN_LOAD_SHARE)
+    extra_loss = min(max(rho - 1.0, 0.0) / max(rho, 1.0), MAX_OVERLOAD_LOSS)
+    return share, delay_factor, extra_loss
+
+
+def packed(values) -> bytes:
+    return struct.pack("<3d", *values)
+
+
+class TestLoadFactorsBitEquality:
+    """The conditional form of load_factors against the min/max form,
+    compared as IEEE-754 bytes (so -0.0 vs 0.0 and NaN payloads count)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rho=st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([1.0 - MIN_LOAD_SHARE, 1.0, 2.0]))
+    @example(rho=0.0)
+    @example(rho=-0.0)
+    @example(rho=-1.5)
+    @example(rho=1.0 - MIN_LOAD_SHARE)
+    @example(rho=math.nextafter(1.0 - MIN_LOAD_SHARE, 0.0))
+    @example(rho=math.nextafter(1.0 - MIN_LOAD_SHARE, 1.0))
+    @example(rho=1.0)
+    @example(rho=math.nextafter(1.0, 2.0))
+    @example(rho=2.0)
+    @example(rho=3.75)
+    @example(rho=1e300)
+    @example(rho=math.inf)
+    @example(rho=-math.inf)
+    @example(rho=math.nan)
+    def test_matches_reference_formula(self, rho):
+        f = load_factors(rho)
+        assert packed(f) == packed(reference_load_factors(rho))
+
+
+class TestMarReadyOracle:
+    """mar_ready_fraction's inline threshold test must classify every
+    sample exactly as the loaded profile from under_load would."""
+
+    @staticmethod
+    def oracle_ready(profile, rho) -> bool:
+        loaded = profile.under_load(rho)
+        return (loaded.up_mean >= MAR_MIN_UPLINK_BPS
+                and loaded.rtt <= MAR_MAX_RTT)
+
+    @staticmethod
+    def loaded_timeline(profile) -> CellTimeline:
+        capacity = profile.up_mean * 4.0
+        capacity_users = capacity / 2e5
+        spec = CellSpec(
+            cell_id=3, profile=profile.name,
+            initial_users=0.9 * capacity_users,
+            arrival_rate=0.9 * capacity_users / 30.0,
+            mean_holding=30.0, demand_up_bps=2e5,
+            capacity_up_bps=capacity, burstiness=0.5)
+        return run_cell(spec, seed=11, duration=120.0).timeline
+
+    @pytest.mark.parametrize("profile", all_profiles(),
+                             ids=lambda p: p.name)
+    def test_matches_under_load_sample_by_sample(self, profile):
+        timeline = self.loaded_timeline(profile)
+        fluid = [rho for _t, _n, rho in timeline.samples]
+        assert max(fluid) > 1.0 > min(fluid)      # the run is loaded
+        # Plus a ρ grid through both thresholds of every profile, with
+        # the branch boundaries of load_factors and overload included.
+        grid = [i / 200.0 for i in range(501)]
+        grid += [1.0 - MIN_LOAD_SHARE, math.nextafter(1.0, 2.0), math.inf]
+        timeline.samples.extend((120.0 + i, 1.0, rho)
+                                for i, rho in enumerate(grid))
+        expected = [self.oracle_ready(profile, rho) for rho in fluid + grid]
+        for sample, ready in zip(timeline.samples, expected):
+            single = CellTimeline(spec=timeline.spec, samples=[sample])
+            assert single.mar_ready_fraction() == (1.0 if ready else 0.0), sample
+        assert timeline.mar_ready_fraction() == sum(expected) / len(expected)
+
+    def test_oracle_is_not_vacuous(self):
+        """Some profile is ready on part of the ρ range and not on the
+        rest, so the per-sample check exercises both outcomes."""
+        mixed = [p.name for p in all_profiles()
+                 if len({self.oracle_ready(p, r / 100.0)
+                         for r in range(0, 201)}) == 2]
+        assert mixed
